@@ -28,6 +28,7 @@
 
 #include "sim/evaluator.h"
 #include "sim/jit.h"
+#include "sim/run_counters.h"
 #include "util/status.h"
 
 namespace pp::platform {
@@ -79,39 +80,17 @@ struct RunOptions {
 };
 
 /// Cumulative accounting of one executor's batch runs (all counters
-/// monotone; failed runs count toward runs but not vectors_run).  Shares
-/// the executor's synchronization contract: read it from the thread that
-/// serializes run() calls.
-struct ExecutorStats {
+/// monotone; failed runs count toward runs and their kernel passes, but
+/// not toward vectors_run).  The per-run counters — kernel passes, clocked
+/// cycles, JIT activity, vectors — come from the one counter list,
+/// sim::RunCounters (sim/run_counters.h); JIT-served runs also count in
+/// compiled_runs, since the JIT serves the same compiled program natively.
+/// Shares the executor's synchronization contract: read it from the thread
+/// that serializes run() calls.
+struct ExecutorStats : sim::RunCounters {
   std::uint64_t runs = 0;           ///< run() calls that reached an engine
-  std::uint64_t vectors_run = 0;    ///< stimulus vectors evaluated OK
   std::uint64_t compiled_runs = 0;  ///< runs served by the compiled engine
   std::uint64_t event_runs = 0;     ///< runs served by the event engine
-  /// Compiled-engine kernel passes that took the two-valued single-plane
-  /// fast path (no unknown bits in the batch; see DESIGN.md §12).
-  std::uint64_t fast_passes = 0;
-  /// Compiled-engine kernel passes that ran the full two-plane kernel.
-  std::uint64_t slow_passes = 0;
-  /// Clock cycles executed by the compiled sequential kernel (per pass
-  /// group; see sim::CompiledEval::KernelStats::cycles_run).
-  std::uint64_t cycles_run = 0;
-  /// Register captures committed at clock edges by the compiled kernel.
-  std::uint64_t state_commits = 0;
-  /// Compiled sequential cycles that rode the single-plane fast path.
-  std::uint64_t fast_cycle_passes = 0;
-  /// Kernel passes (wide passes + clocked cycles) served by the JIT
-  /// native engine.  JIT-served runs also count in compiled_runs — the
-  /// JIT serves the same compiled program, natively — so this is the
-  /// share of that work done by generated code.
-  std::uint64_t jit_passes = 0;
-  /// JIT kernel builds that invoked the host compiler (a disk-cache miss).
-  std::uint64_t jit_compiles = 0;
-  /// JIT kernel builds satisfied entirely from the shared disk cache.
-  std::uint64_t jit_cache_hits = 0;
-  /// Runs that asked for the JIT (warm_jit requested, Engine::kAuto) but
-  /// were served by another engine — the kernel was still building, or
-  /// its build failed (no host compiler, oversized program).
-  std::uint64_t jit_fallbacks = 0;
 };
 
 /// Pack a batch of equal-width vectors into structure-of-arrays bit
@@ -265,6 +244,15 @@ class BatchExecutor {
   [[nodiscard]] sim::JitEval* jit_ready();
   /// Block until the (possibly just-requested) build finishes.
   [[nodiscard]] Status ensure_jit();
+  /// The one batch-run body behind run() and run_cycles() (callers have
+  /// validated everything but vector widths): engine selection, stats
+  /// bookkeeping, granule sizing and the shard/latch.  A lane is one
+  /// stream of `cycles` vectors; `clocked` runs streams through
+  /// Evaluator::run_cycles, otherwise each vector is one eval_wide lane
+  /// (`cycles` == 1).
+  [[nodiscard]] Result<std::vector<BitVector>> run_batch(
+      std::span<const InputVector> stimulus, std::size_t cycles, bool clocked,
+      const RunOptions& options);
 
   const sim::Circuit* circuit_;
   std::vector<sim::NetId> in_nets_;

@@ -279,21 +279,10 @@ struct Device::Impl {
           status = run.status();
         const std::lock_guard<std::mutex> lock(stats_mutex);
         if (!swapped) ++stats.batched_jobs;
-        if (status.ok()) {
-          stats.vectors_run += results.size();
-          // Fold this job's kernel-pass accounting into the device view
-          // (the executor is still serialized here: hw_mutex is held).
-          const platform::ExecutorStats& lr = rd->executor().last_run_stats();
-          stats.fast_passes += lr.fast_passes;
-          stats.slow_passes += lr.slow_passes;
-          stats.cycles_run += lr.cycles_run;
-          stats.state_commits += lr.state_commits;
-          stats.fast_cycle_passes += lr.fast_cycle_passes;
-          stats.jit_passes += lr.jit_passes;
-          stats.jit_compiles += lr.jit_compiles;
-          stats.jit_cache_hits += lr.jit_cache_hits;
-          stats.jit_fallbacks += lr.jit_fallbacks;
-        }
+        // Fold this job's slice of the counter list — vectors, kernel
+        // passes, JIT activity — into the device view (the executor is
+        // still serialized here: hw_mutex is held).
+        if (status.ok()) stats += rd->executor().last_run_stats();
       }
     }
     // Silent result corruption: the run succeeded as far as the device can

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -151,13 +150,8 @@ struct CompiledEval::Program {
   bool has_settle_regs = false;  ///< any latch / resettable DFF (fixpoint)
   std::uint32_t n_edge_regs = 0;  ///< registers committed at the clock edge
   // Pass accounting lives on the shared program so every clone of one
-  // compilation aggregates into the same counters (relaxed: they are pure
-  // statistics, one increment per >=64-lane pass).
-  mutable std::atomic<std::uint64_t> fast_passes{0};
-  mutable std::atomic<std::uint64_t> slow_passes{0};
-  mutable std::atomic<std::uint64_t> cycles_run{0};
-  mutable std::atomic<std::uint64_t> state_commits{0};
-  mutable std::atomic<std::uint64_t> fast_cycle_passes{0};
+  // compilation aggregates into the same counters.
+  mutable KernelCounters counters;
 };
 
 }  // namespace pp::sim

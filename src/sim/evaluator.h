@@ -51,6 +51,7 @@
 
 #include "sim/circuit.h"
 #include "sim/logic.h"
+#include "sim/run_counters.h"
 #include "sim/simulator.h"
 #include "util/status.h"
 
@@ -400,21 +401,10 @@ class CompiledEval final : public Evaluator {
   /// carry no unknown bits.
   [[nodiscard]] bool fast_path_available() const noexcept;
 
-  /// Kernel pass accounting, shared by every clone of one compilation (so
+  /// Kernel pass accounting (the PP_KERNEL_COUNTERS of
+  /// sim/run_counters.h), shared by every clone of one compilation (so
   /// sharded runs aggregate naturally).  Counters are monotone.
-  struct KernelStats {
-    std::uint64_t fast_passes = 0;  ///< single-plane (two-valued) passes
-    std::uint64_t slow_passes = 0;  ///< two-plane passes
-    /// Clock cycles executed by run_cycles (per pass group — one 512-lane
-    /// group running 32 cycles counts 32).
-    std::uint64_t cycles_run = 0;
-    /// Register captures committed at clock edges (edge registers per
-    /// cycle per pass group; latches commit during settling, not here).
-    std::uint64_t state_commits = 0;
-    /// run_cycles cycles that rode the single-plane fast path (inputs and
-    /// register state both free of unknown bits).
-    std::uint64_t fast_cycle_passes = 0;
-  };
+  using KernelStats = RunCounters;
   /// Snapshot of the pass counters across this engine and all its clones.
   [[nodiscard]] KernelStats kernel_stats() const noexcept;
 

@@ -6,6 +6,8 @@
 #include "sim/jit.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -385,9 +387,12 @@ enum class OpBase { kBuf, kNot, kAnd, kNand, kOr, kNor, kXor, kXnor, kResolve };
   return out;
 }
 
-/// fork/execvp `argv`, stdout/stderr captured to files (empty path =
-/// /dev/null).  Returns the exit code, 127 when exec itself failed, or -1
-/// when fork/waitpid failed.
+/// posix_spawnp `argv` with stdout/stderr redirected to files (empty path
+/// = /dev/null).  Returns the exit code, 127 when the program could not be
+/// spawned, or -1 when waitpid failed.  The redirections are spawn file
+/// actions, so the child never runs this process's stdio code: a fork()
+/// child reopening stdout would flush the parent's pending buffer into
+/// the parent's stdout a second time.
 [[nodiscard]] int run_command(const std::vector<std::string>& argv,
                               const std::string& out_path,
                               const std::string& err_path) {
@@ -395,16 +400,19 @@ enum class OpBase { kBuf, kNot, kAnd, kNand, kOr, kNor, kXor, kXnor, kResolve };
   av.reserve(argv.size() + 1);
   for (const std::string& a : argv) av.push_back(const_cast<char*>(a.c_str()));
   av.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) return -1;
-  if (pid == 0) {
-    const char* out = out_path.empty() ? "/dev/null" : out_path.c_str();
-    const char* err = err_path.empty() ? "/dev/null" : err_path.c_str();
-    if (!::freopen(out, "w", stdout) || !::freopen(err, "w", stderr))
-      ::_exit(127);
-    ::execvp(av[0], av.data());
-    ::_exit(127);
-  }
+  const char* out = out_path.empty() ? "/dev/null" : out_path.c_str();
+  const char* err = err_path.empty() ? "/dev/null" : err_path.c_str();
+  constexpr int kFlags = O_WRONLY | O_CREAT | O_TRUNC;
+  posix_spawn_file_actions_t actions;
+  if (::posix_spawn_file_actions_init(&actions) != 0) return 127;
+  pid_t pid = 0;
+  int rc = ::posix_spawn_file_actions_addopen(&actions, 1, out, kFlags, 0644);
+  if (rc == 0)
+    rc = ::posix_spawn_file_actions_addopen(&actions, 2, err, kFlags, 0644);
+  if (rc == 0)
+    rc = ::posix_spawnp(&pid, av[0], &actions, nullptr, av.data(), environ);
+  ::posix_spawn_file_actions_destroy(&actions);
+  if (rc != 0) return 127;
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0)
     if (errno != EINTR) return -1;
@@ -557,21 +565,6 @@ struct JitKernel {
   }
 };
 
-struct JitSharedStats {
-  std::atomic<std::uint64_t> fast_passes{0};
-  std::atomic<std::uint64_t> slow_passes{0};
-  std::atomic<std::uint64_t> cycles_run{0};
-  std::atomic<std::uint64_t> state_commits{0};
-  std::atomic<std::uint64_t> fast_cycle_passes{0};
-  void reset() {
-    fast_passes = 0;
-    slow_passes = 0;
-    cycles_run = 0;
-    state_commits = 0;
-    fast_cycle_passes = 0;
-  }
-};
-
 namespace {
 
 /// dlopen `so_path` and validate every exported symbol against the
@@ -636,7 +629,7 @@ namespace {
 
 JitEval::JitEval(std::vector<std::shared_ptr<const JitKernel>> kernels,
                  std::shared_ptr<const JitBuildInfo> info,
-                 std::shared_ptr<JitSharedStats> stats)
+                 std::shared_ptr<KernelCounters> stats)
     : kernels_(std::move(kernels)),
       info_(std::move(info)),
       stats_(std::move(stats)) {
@@ -694,11 +687,7 @@ std::unique_ptr<Evaluator> JitEval::clone() const {
 }
 
 CompiledEval::KernelStats JitEval::kernel_stats() const noexcept {
-  return {stats_->fast_passes.load(std::memory_order_relaxed),
-          stats_->slow_passes.load(std::memory_order_relaxed),
-          stats_->cycles_run.load(std::memory_order_relaxed),
-          stats_->state_commits.load(std::memory_order_relaxed),
-          stats_->fast_cycle_passes.load(std::memory_order_relaxed)};
+  return stats_->snapshot();
 }
 
 Status JitEval::eval_wide_mode(std::size_t mode,
@@ -1288,7 +1277,7 @@ Result<JitEval> JitEval::build(const CompiledEval& base,
   }
 
   JitEval jit(std::move(kernels), std::make_shared<JitBuildInfo>(info),
-              std::make_shared<JitSharedStats>());
+              std::make_shared<KernelCounters>());
 
   if (options.verify) {
     // Differential gate: deterministic stimulus (X/Z density ~1/8, plus an

@@ -77,8 +77,7 @@ struct JitBuildInfo {
   std::string compiler;    ///< resolved compiler identity line
 };
 
-struct JitKernel;       // one dlopened mode image (shared across clones)
-struct JitSharedStats;  // pass counters (shared across clones)
+struct JitKernel;  // one dlopened mode image (shared across clones)
 
 /// The generated-code backend.  One JitEval wraps one CompiledEval
 /// program set (mode 0 plus modal images), each served by a dlopened
@@ -148,8 +147,8 @@ class JitEval final : public Evaluator {
   void reset_state();
 
   /// Kernel pass accounting, shared by every clone of one build — the
-  /// same shape as CompiledEval::KernelStats so executor rollups treat
-  /// the two engines uniformly.
+  /// same counters as CompiledEval::kernel_stats() so executor rollups
+  /// treat the two engines uniformly.
   [[nodiscard]] CompiledEval::KernelStats kernel_stats() const noexcept;
 
   /// How this kernel set was acquired (cache hit vs fresh compile).
@@ -160,7 +159,7 @@ class JitEval final : public Evaluator {
  private:
   JitEval(std::vector<std::shared_ptr<const JitKernel>> kernels,
           std::shared_ptr<const JitBuildInfo> info,
-          std::shared_ptr<JitSharedStats> stats);
+          std::shared_ptr<KernelCounters> stats);
 
   [[nodiscard]] Status eval_wide_mode(std::size_t mode,
                                       std::span<const std::uint64_t> in_value,
@@ -173,7 +172,7 @@ class JitEval final : public Evaluator {
 
   std::vector<std::shared_ptr<const JitKernel>> kernels_;  ///< [0] = mode 0
   std::shared_ptr<const JitBuildInfo> info_;
-  std::shared_ptr<JitSharedStats> stats_;
+  std::shared_ptr<KernelCounters> stats_;
   /// Per-mode SoA scratch at fixed stride W (constants pre-broadcast).
   std::vector<std::vector<std::uint64_t>> value_, unknown_;
   std::vector<std::uint64_t> shim_;     ///< eval_packed AoS<->SoA staging

@@ -6,11 +6,14 @@
 // promises (sim/jit.h).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -265,6 +268,39 @@ TEST(JitCache, ConcurrentBuildersShareOneCacheBenignly) {
   auto late = JitEval::build(*base, test_options(cache));
   ASSERT_TRUE(late.ok());
   EXPECT_TRUE(late->build_info().cache_hit);
+}
+
+// A compiler spawn must not re-emit this process's pending stdio output:
+// a fork() child that reopens stdout flushes the inherited buffer into the
+// parent's stdout a second time.
+TEST(JitCache, CompilerSpawnDoesNotDuplicatePendingStdout) {
+  const std::string dir = fresh_cache_dir("spawn-stdout");
+  const std::string capture = dir + "/stdout.txt";
+  std::fflush(stdout);
+  const int saved = ::dup(1);
+  ASSERT_GE(saved, 0);
+  const int fd = ::open(capture.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(::dup2(fd, 1), 0);
+  ::close(fd);
+  std::setvbuf(stdout, nullptr, _IOFBF, 1 << 16);
+  std::printf("pending-marker\n");  // deliberately not flushed
+  auto base = compile_pair_gate(GateKind::kXor);
+  const bool built =
+      base.ok() && JitEval::build(*base, test_options(dir)).ok();
+  std::fflush(stdout);
+  ::dup2(saved, 1);
+  ::close(saved);
+  std::setvbuf(stdout, nullptr, ::isatty(1) ? _IOLBF : _IOFBF, BUFSIZ);
+
+  std::ifstream in(capture);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  std::size_t count = 0;
+  for (std::size_t at = text.find("pending-marker"); at != std::string::npos;
+       at = text.find("pending-marker", at + 1))
+    ++count;
+  EXPECT_EQ(count, 1u) << "cold build (compiler ran: " << built << ")";
 }
 
 }  // namespace

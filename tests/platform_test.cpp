@@ -7,6 +7,9 @@
 #include "platform/compiler.h"
 #include "platform/report.h"
 #include "platform/session.h"
+#include "sim/circuit.h"
+#include "sim/evaluator.h"
+#include "sim/run_counters.h"
 #include "util/rng.h"
 
 namespace pp::platform {
@@ -346,6 +349,43 @@ TEST(Session, ExecutorStatsTrackRunsVectorsAndEngine) {
   const std::vector<InputVector> bad(1, InputVector(3));
   EXPECT_FALSE(session->run_vectors(bad).ok());
   EXPECT_EQ(session->executor_stats().runs, 2u);
+}
+
+TEST(BatchExecutor, ClockedRunSettlingToXFailsWithoutTouchingLastRun) {
+  // A DFF with no reset that toggles on its own output: q powers up X and
+  // no stimulus can make it known, so every cycle's output is X.
+  sim::Circuit c;
+  const sim::NetId t = c.add_net("t"), clk = c.add_net("clk");
+  c.mark_input(t);
+  c.mark_input(clk);
+  const sim::NetId q = c.add_net("q"), dn = c.add_net("dn");
+  c.add_gate(sim::GateKind::kXor, {q, t}, dn);
+  c.add_gate(sim::GateKind::kDff, {dn, clk}, q);
+  BatchExecutor ex(c, {t}, {q}, {"q"}, sim::LevelMap{});
+  ASSERT_TRUE(ex.sequential());
+
+  // Serial (one engine) and sharded (clones, per-call latch) bodies alike.
+  const std::size_t cycles = 3;
+  for (const std::size_t threads : {1u, 4u}) {
+    const std::vector<InputVector> stimulus(300 * cycles, InputVector{true});
+    auto got = ex.run_cycles(stimulus, cycles, {.max_threads = threads});
+    ASSERT_FALSE(got.ok()) << "threads=" << threads;
+    EXPECT_EQ(got.status().code(), StatusCode::kInternal);
+    EXPECT_NE(got.status().message().find("output 'q' settled to X at cycle 0"),
+              std::string::npos)
+        << got.status().to_string();
+  }
+  EXPECT_EQ(ex.stats().runs, 2u);
+  EXPECT_EQ(ex.stats().compiled_runs, 2u);
+  EXPECT_EQ(ex.stats().vectors_run, 0u);
+  EXPECT_GT(ex.stats().cycles_run, 0u);  // failed runs' passes did execute
+  // last_run_stats() describes the last *successful* run: still none.
+  const ExecutorStats& last = ex.last_run_stats();
+  EXPECT_EQ(last.runs, 0u);
+  EXPECT_EQ(last.compiled_runs + last.event_runs, 0u);
+  sim::for_each_run_counter([&](const char* name, auto field) {
+    EXPECT_EQ(last.*field, 0u) << name;
+  });
 }
 
 }  // namespace

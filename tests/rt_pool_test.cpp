@@ -5,7 +5,12 @@
 // designs).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +21,10 @@
 #include "rt/device.h"
 #include "rt/pool.h"
 #include "rt/queue.h"
+#include "sim/circuit.h"
+#include "sim/evaluator.h"
+#include "sim/jit.h"
+#include "sim/run_counters.h"
 #include "util/rng.h"
 
 namespace pp {
@@ -576,6 +585,75 @@ TEST(RtDevicePool, PoolStatsRollUpDeviceFailuresDistinctFromExpiries) {
             stats.device[0].jobs_failed + stats.device[1].jobs_failed);
   EXPECT_EQ(stats.jobs_expired,
             stats.device[0].jobs_expired + stats.device[1].jobs_expired);
+}
+
+/// True when the host C compiler can build JIT kernels (cache in `dir`).
+bool host_cc_available(const std::string& dir) {
+  sim::Circuit c;
+  const sim::NetId a = c.add_net("a"), b = c.add_net("b"), y = c.add_net("y");
+  c.mark_input(a);
+  c.mark_input(b);
+  c.add_gate(sim::GateKind::kAnd, {a, b}, y);
+  auto base = sim::CompiledEval::compile(c, {a, b}, {y});
+  sim::JitOptions o;
+  o.cache_dir = dir;
+  return base.ok() && sim::JitEval::build(*base, o).ok();
+}
+
+TEST(RtDevicePool, EveryRunCounterRollsUpAsTheSumOverDevices) {
+  // Combinational, clocked and (where a host compiler exists) JIT-served
+  // jobs on a 2-device pool; then every counter of the one list must be
+  // the fleet sum of the per-device counters — including counters added
+  // to the list later.
+  const std::string cache = (std::filesystem::temp_directory_path() /
+                             ("pp-rt-pool-rollup-" + std::to_string(::getpid())))
+                                .string();
+  ::setenv("PP_JIT_CACHE", cache.c_str(), 1);
+  const bool jit = host_cc_available(cache);
+  const auto adder = compile_or_die(map::make_ripple_adder(2));
+  const auto counter = compile_or_die(map::make_counter(2));
+  auto pool = rt::DevicePool::create(
+      2, std::max(adder.fabric.rows(), counter.fabric.rows()),
+      std::max(adder.fabric.cols(), counter.fabric.cols()),
+      rt::PoolOptions{.device = {.jit = true}});
+  ASSERT_TRUE(pool.ok()) << pool.status().to_string();
+  ASSERT_TRUE(pool->register_design("adder", adder).ok());
+  ASSERT_TRUE(pool->register_design("counter", counter).ok());
+
+  const auto vectors = random_vectors(700, adder.inputs.size(), 11);
+  const auto expected = serial_reference(adder, vectors);
+  for (int i = 0; i < 3; ++i) {
+    auto out = pool->run_sync("adder", vectors);
+    ASSERT_TRUE(out.ok()) << out.status().to_string();
+    EXPECT_EQ(*out, expected);
+    auto job = pool->submit("counter", random_vectors(4 * 8, 1, 20 + i),
+                            rt::SubmitOptions{.cycles = 4});
+    ASSERT_TRUE(job.ok()) << job.status().to_string();
+    ASSERT_TRUE(job->wait().ok());
+  }
+  // The JIT warm is asynchronous: keep serving until a job lands on it.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::minutes(2);
+  while (jit && pool->stats().jit_passes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto out = pool->run_sync("adder", vectors);
+    ASSERT_TRUE(out.ok()) << out.status().to_string();
+    EXPECT_EQ(*out, expected);
+  }
+
+  const rt::PoolStats ps = pool->stats();
+  ASSERT_EQ(ps.device.size(), 2u);
+  sim::for_each_run_counter([&](const char* name, auto field) {
+    std::uint64_t sum = 0;
+    for (const rt::DeviceStats& d : ps.device) sum += d.*field;
+    EXPECT_EQ(ps.*field, sum) << name;
+  });
+  EXPECT_GT(ps.vectors_run, 0u);
+  EXPECT_GT(ps.fast_passes + ps.slow_passes, 0u);
+  EXPECT_GT(ps.cycles_run, 0u);
+  if (jit) EXPECT_GT(ps.jit_passes, 0u);
+  std::error_code ec;
+  std::filesystem::remove_all(cache, ec);
 }
 
 }  // namespace
